@@ -19,18 +19,20 @@ assumed: the time-domain path is timed on a short pattern, its
 throughput extrapolated to the ``10 / BER`` symbols an error-counting
 estimate needs.  A cross-accuracy spot check (statistical vs
 time-domain BER within half a decade in the regime both can reach)
-guards against winning the race with wrong numbers.  Gates apply at
+guards against winning the race with wrong numbers.  Statistical runs
+are timed untraced, their peak memory taken in a separate
+``tracemalloc`` pass (see ``timed_then_traced``).  Gates apply at
 full scale only; headline numbers land in
 ``benchmarks/results/BENCH_stateye.json``.
 """
 
-import gc
+import functools
 import os
 import time
-import tracemalloc
 
 import numpy as np
 
+from conftest import timed_then_traced
 from repro.analysis.ber import ber_from_eye
 from repro.analysis.isi import pulse_response, pulse_response_batch
 from repro.channel.backplane import BackplaneChannel
@@ -60,18 +62,6 @@ def make_pulses(n):
                                 amplitudes)
 
 
-def traced(fn):
-    """(result, wall seconds, peak traced bytes)."""
-    gc.collect()
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    result = fn()
-    elapsed = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, elapsed, peak
-
-
 def time_pattern_simulation():
     """Seconds per simulated symbol of the time-domain BER path."""
     channel = BackplaneChannel(CHANNEL_M)
@@ -88,14 +78,14 @@ def test_stateye_speedup_memory_and_parity(save_report, save_json):
     pulses = make_pulses(N_SCENARIOS)
     quarter = pulses[: max(CHUNK_SCENARIOS, N_SCENARIOS // 4)]
 
-    slim_q, t_quarter, peak_quarter = traced(
-        lambda: engine.analyze_batch(quarter,
-                                     chunk_scenarios=CHUNK_SCENARIOS,
-                                     keep_surfaces=False))
-    slim, t_stat, peak_full = traced(
-        lambda: engine.analyze_batch(pulses,
-                                     chunk_scenarios=CHUNK_SCENARIOS,
-                                     keep_surfaces=False))
+    def chunked_run(scenarios):
+        return functools.partial(engine.analyze_batch, scenarios,
+                                 chunk_scenarios=CHUNK_SCENARIOS,
+                                 keep_surfaces=False)
+
+    slim_q, t_quarter, peak_quarter = timed_then_traced(
+        lambda: chunked_run(quarter))
+    slim, t_stat, peak_full = timed_then_traced(lambda: chunked_run(pulses))
     dense = engine.analyze_batch(pulses)
 
     # Chunked flat-memory summaries == the unchunked reference.
@@ -140,6 +130,7 @@ def test_stateye_speedup_memory_and_parity(save_report, save_json):
         "noise_rms": NOISE_RMS,
         "target_ber": TARGET_BER,
         "t_stat_full_s": t_stat,
+        "timing": "untraced pass; peaks from a separate tracemalloc pass",
         "t_stat_per_scenario_s": t_stat_per_scenario,
         "t_pattern_per_symbol_s": t_per_symbol,
         "t_pattern_projected_s": t_pattern_projected,

@@ -16,19 +16,20 @@ measured at the first sample) runs three ways:
   doubles as the parity reference: count/min/max/yield/histogram agree
   exactly, mean/variance to ``PARITY_RTOL`` relative.
 
+Each run is timed untraced and its peak memory taken in a separate
+``tracemalloc`` pass (see ``timed_then_traced``).
+
 Gates apply at full scale only (``BENCH_STREAM_SCENARIOS`` shrinks the
 sweep for CI smoke legs, where a single chunk covers the whole sweep
 and the ratios degenerate).  Headline numbers land in
 ``benchmarks/results/BENCH_streaming_sweep.json``.
 """
 
-import gc
 import os
-import time
-import tracemalloc
 
 import numpy as np
 
+from conftest import timed_then_traced
 from repro.reporting import format_table
 from repro.signals import Waveform
 from repro.sweep import (Count, Histogram, MeanVar, MinMax, Quantiles,
@@ -83,28 +84,17 @@ def make_reducers():
     }
 
 
-def traced_run(runner):
-    """(result, wall seconds, peak traced bytes) of one sweep."""
-    gc.collect()
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    result = runner.run()
-    elapsed = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, elapsed, peak
-
-
 def test_streaming_memory_ceiling_and_aggregate_parity(save_report,
                                                        save_json):
     quarter = max(CHUNK_ROWS, N_SCENARIOS // 4)
-    stream_q, t_stream_q, peak_stream_q = traced_run(
-        make_runner(quarter, reducers=make_reducers(),
-                    keep_results=False))
-    stream, t_stream, peak_stream = traced_run(
-        make_runner(N_SCENARIOS, reducers=make_reducers(),
-                    keep_results=False))
-    dense, t_dense, peak_dense = traced_run(make_runner(N_SCENARIOS))
+    stream_q, t_stream_q, peak_stream_q = timed_then_traced(
+        lambda: make_runner(quarter, reducers=make_reducers(),
+                            keep_results=False).run)
+    stream, t_stream, peak_stream = timed_then_traced(
+        lambda: make_runner(N_SCENARIOS, reducers=make_reducers(),
+                            keep_results=False).run)
+    dense, t_dense, peak_dense = timed_then_traced(
+        lambda: make_runner(N_SCENARIOS).run)
 
     flatness = peak_stream / peak_stream_q
     dense_ratio = peak_dense / peak_stream
@@ -132,6 +122,7 @@ def test_streaming_memory_ceiling_and_aggregate_parity(save_report,
         "dense_ratio_floor": DENSE_RATIO_FLOOR,
         "t_streaming_full_s": t_stream,
         "t_dense_full_s": t_dense,
+        "timing": "untraced pass; peaks from a separate tracemalloc pass",
         "yield_fraction": aggregates["yield"].fraction,
         "level_mean": aggregates["level"].mean,
         "level_p50": aggregates["quantiles"][0.5],

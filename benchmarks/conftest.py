@@ -14,9 +14,12 @@ trajectory stays reviewable across PRs instead of living only in
 commit messages.
 """
 
+import gc
 import json
 import pathlib
 import platform
+import time
+import tracemalloc
 
 import pytest
 
@@ -75,3 +78,28 @@ def save_json():
 def run_once(benchmark, fn):
     """Benchmark a simulation with minimal repetition."""
     return benchmark.pedantic(fn, rounds=2, iterations=1, warmup_rounds=0)
+
+
+def timed_then_traced(make_run):
+    """``(result, wall seconds, peak traced bytes)`` from two passes.
+
+    ``make_run()`` builds a fresh zero-argument run callable (outside
+    both measurements); it is called once per pass.  The wall clock
+    comes from an untraced pass and the peak from a separate pass under
+    ``tracemalloc``, whose per-allocation hooks would otherwise inflate
+    the timing (~10x on a 100k-row streaming sweep).
+    """
+    run = make_run()
+    gc.collect()
+    t0 = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - t0
+    run = make_run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, elapsed, peak

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,25 +34,6 @@ from ..signals.waveform import Waveform
 
 __all__ = ["EyeMeasurement", "EyeDiagram", "EyeDiagramBatch",
            "measure_eye_batch"]
-
-
-def _center_crossings_ui(crossings: np.ndarray) -> np.ndarray:
-    """Center a modulo-1 crossing cluster on its circular mean.
-
-    Crossing positions live on the UI circle: a cluster straddling the
-    0/1 boundary (e.g. crossings at 0.02 and 0.98 UI) wraps, and any
-    linear statistic of the raw values — in particular the median, whose
-    value lands mid-range for a balanced straddling cluster — fails to
-    detect it, reporting ~1 UI of peak-to-peak jitter for a clean eye.
-    The circular mean has no such failure mode: it always points at the
-    cluster, so shifting the wrap seam half a UI away from it unwraps
-    every cluster correctly.
-    """
-    angles = 2.0 * np.pi * crossings
-    center = np.arctan2(np.mean(np.sin(angles)),
-                        np.mean(np.cos(angles))) / (2.0 * np.pi)
-    center = np.mod(center, 1.0)
-    return np.mod(crossings - center + 0.5, 1.0) - 0.5 + center
 
 
 def _estimate_thresholds(traces: np.ndarray,
@@ -136,6 +117,9 @@ class EyeMeasurement:
 class EyeDiagram:
     """A waveform folded at the unit interval.
 
+    Every measurement is a one-row call into :class:`EyeDiagramBatch`,
+    so a waveform measures exactly like the same row of a batch.
+
     Parameters
     ----------
     wave:
@@ -155,34 +139,19 @@ class EyeDiagram:
                  modulation: Optional[Modulation] = None):
         if bit_rate <= 0:
             raise ValueError(f"bit_rate must be positive, got {bit_rate}")
-        if skip_ui < 0:
-            raise ValueError(f"skip_ui must be >= 0, got {skip_ui}")
         samples_per_ui = wave.sample_rate / bit_rate
         if abs(samples_per_ui - round(samples_per_ui)) > 1e-6:
             target = bit_rate * max(8, int(math.ceil(samples_per_ui)))
             wave = wave.resampled(target)
-            samples_per_ui = wave.sample_rate / bit_rate
-        self.samples_per_ui = int(round(samples_per_ui))
-        if self.samples_per_ui < 4:
-            raise ValueError(
-                "need at least 4 samples per UI for eye analysis, got "
-                f"{self.samples_per_ui}"
-            )
+        self._batch = EyeDiagramBatch(
+            WaveformBatch(wave.data[np.newaxis], wave.sample_rate),
+            bit_rate, skip_ui=skip_ui, modulation=modulation)
+        self.samples_per_ui = self._batch.samples_per_ui
         self.bit_rate = bit_rate
-        self.unit_interval = 1.0 / bit_rate
-        self.modulation = Nrz() if modulation is None else modulation
-
-        data = wave.data[skip_ui * self.samples_per_ui:]
-        n_ui = len(data) // self.samples_per_ui
-        if n_ui < 8:
-            raise ValueError(
-                f"waveform too short for an eye: {n_ui} UI after skipping"
-            )
-        self.traces = data[: n_ui * self.samples_per_ui].reshape(
-            n_ui, self.samples_per_ui
-        )
-        self.n_ui = n_ui
-        self._thresholds: Optional[np.ndarray] = None
+        self.unit_interval = self._batch.unit_interval
+        self.modulation = self._batch.modulation
+        self.traces = self._batch.traces[0]
+        self.n_ui = self._batch.n_ui
 
     # -- folded views ---------------------------------------------------------
     def two_ui_traces(self) -> np.ndarray:
@@ -198,181 +167,41 @@ class EyeDiagram:
         """Phase positions (0..1) of the samples within a UI."""
         return (np.arange(self.samples_per_ui) + 0.5) / self.samples_per_ui
 
-    # -- vertical measurements --------------------------------------------
+    # -- one-row views of the batch measurements ------------------------------
     def decision_thresholds(self) -> np.ndarray:
-        """Per-sub-eye decision thresholds, in volts.
-
-        Exactly ``[0.0]`` for two-level signaling (differential NRZ
-        slices at zero by construction); estimated from the traces for
-        ``L > 2`` (see :func:`_estimate_thresholds`).
-        """
-        if self._thresholds is None:
-            if self.modulation.n_levels == 2:
-                self._thresholds = np.zeros(1)
-            else:
-                self._thresholds = _estimate_thresholds(self.traces,
-                                                        self.modulation)
-        return self._thresholds
-
-    def _level_clusters(self, phase_index: int) -> List[np.ndarray]:
-        """Samples at a phase, split into per-level clusters (lowest
-        level first).  For NRZ this is the classic zero/one split."""
-        column = self.traces[:, phase_index]
-        counts = np.searchsorted(self.decision_thresholds(), column,
-                                 side="left")
-        return [column[counts == i]
-                for i in range(self.modulation.n_levels)]
-
-    def eye_heights_at(self, phase_index: int) -> np.ndarray:
-        """Per-sub-eye vertical opening at a sampling phase.
-
-        Sub-eye ``e`` opens between level clusters ``e`` and ``e + 1``:
-        ``min(upper cluster) - max(lower cluster)`` — negative when that
-        sub-eye is closed, ``-inf`` when a cluster is empty.
-        """
-        clusters = self._level_clusters(phase_index)
-        heights = np.empty(self.modulation.n_eyes)
-        for e in range(self.modulation.n_eyes):
-            upper, lower = clusters[e + 1], clusters[e]
-            if upper.size == 0 or lower.size == 0:
-                heights[e] = -float("inf")
-            else:
-                heights[e] = float(upper.min() - lower.max())
-        return heights
-
-    def eye_height_at(self, phase_index: int) -> float:
-        """Worst-sub-eye vertical opening at a sampling phase."""
-        return float(np.min(self.eye_heights_at(phase_index)))
+        """Per-sub-eye decision thresholds, in volts (exactly ``[0.0]``
+        for NRZ; see :meth:`EyeDiagramBatch.decision_thresholds`)."""
+        return self._batch.decision_thresholds()[0]
 
     def best_phase_index(self) -> int:
         """The sampling phase maximizing the (worst-sub-eye) opening."""
-        heights = [self.eye_height_at(i) for i in range(self.samples_per_ui)]
-        return int(np.argmax(heights))
-
-    # -- horizontal measurements ----------------------------------------------
-    def _eye_index(self, eye: Optional[int]) -> int:
-        if eye is None:
-            return self.modulation.center_threshold_index
-        if not 0 <= eye < self.modulation.n_eyes:
-            raise ValueError(
-                f"eye must be in 0..{self.modulation.n_eyes - 1}, got {eye}"
-            )
-        return int(eye)
+        return int(self._batch.best_phase_indices()[0])
 
     def crossing_times_ui(self, eye: Optional[int] = None) -> np.ndarray:
-        """Threshold-crossing positions of all edges, in UI modulo 1.
-
-        Linear interpolation between the bracketing samples; the
-        distribution's spread is the crossing jitter.  ``eye`` selects
-        the sub-eye threshold; the default is the middle eye (the zero
-        crossing for NRZ — the edge the bang-bang CDR locks to).
-        """
-        threshold = float(self.decision_thresholds()[self._eye_index(eye)])
-        flat = self.traces.reshape(-1)
-        if threshold != 0.0:
-            flat = flat - threshold
-        sign = np.sign(flat)
-        sign[sign == 0] = 1
-        idx = np.flatnonzero(np.diff(sign) != 0)
-        if idx.size == 0:
-            return np.array([])
-        v0 = flat[idx]
-        v1 = flat[idx + 1]
-        frac = v0 / (v0 - v1)
-        times = (idx + frac) / self.samples_per_ui
-        crossings = np.mod(times, 1.0)
-        # Center the cluster: crossings near 0/1 wrap; shift the wrap
-        # seam half a UI away from the circular mean before measuring
-        # spread (a straddling cluster defeats linear centering).
-        return _center_crossings_ui(crossings)
+        """Threshold-crossing positions of all edges, in UI modulo 1
+        (see :meth:`EyeDiagramBatch.crossing_times_ui`)."""
+        return self._batch.crossing_times_ui(eye)[0]
 
     def jitter_rms_ui(self, eye: Optional[int] = None) -> float:
         """RMS crossing jitter in UI (middle sub-eye by default)."""
-        times = self.crossing_times_ui(eye)
-        if times.size < 2:
-            return 0.0
-        return float(np.std(times))
+        return float(self._batch.jitter_rms_ui(eye)[0])
 
     def jitter_pp_ui(self, eye: Optional[int] = None) -> float:
         """Peak-to-peak crossing jitter in UI (middle eye by default)."""
-        times = self.crossing_times_ui(eye)
-        if times.size < 2:
-            return 0.0
-        return float(np.ptp(times))
+        return float(self._batch.jitter_pp_ui(eye)[0])
 
     def eye_width_ui(self, eye: Optional[int] = None) -> float:
         """Horizontal opening: 1 UI minus the peak-to-peak jitter."""
-        return max(0.0, 1.0 - self.jitter_pp_ui(eye))
+        return float(self._batch.eye_width_ui(eye)[0])
 
-    # -- composite measurement ------------------------------------------------
     def measure(self) -> EyeMeasurement:
         """Full scope-style measurement at the optimum sampling phase."""
         return self.measure_at(self.best_phase_index())
 
     def measure_at(self, phase: int) -> EyeMeasurement:
         """Scope-style measurement at a given sampling-phase index."""
-        clusters = self._level_clusters(phase)
-        n_levels = self.modulation.n_levels
-        n_eyes = self.modulation.n_eyes
-        if any(cluster.size == 0 for cluster in clusters):
-            # Degenerate signal (some level never observed at this
-            # phase): report a closed eye.
-            level = float(self.traces.mean())
-            return EyeMeasurement(
-                eye_height=-float("inf"), eye_width_ui=0.0,
-                eye_amplitude=0.0, level_one=level, level_zero=level,
-                jitter_rms=0.0, jitter_pp=0.0, q_factor=0.0,
-                sampling_phase_ui=phase / self.samples_per_ui,
-                n_ui=self.n_ui, n_levels=n_levels,
-            )
-        means = [float(cluster.mean()) for cluster in clusters]
-        sigmas = [float(cluster.std()) for cluster in clusters]
-        level_one = means[-1]
-        level_zero = means[0]
-        amplitude = level_one - level_zero
-        q_factors = []
-        for e in range(n_eyes):
-            separation = means[e + 1] - means[e]
-            denominator = sigmas[e + 1] + sigmas[e]
-            q_factors.append(separation / denominator
-                             if denominator > 0 else float("inf"))
-        heights = self.eye_heights_at(phase)
-        # One pass over each crossing distribution for all horizontal
-        # metrics (it is the costly part of a measurement).
-        jitter_rms_by_eye = []
-        jitter_pp_by_eye = []
-        for e in range(n_eyes):
-            times = self.crossing_times_ui(eye=e)
-            jitter_rms_by_eye.append(float(np.std(times))
-                                     if times.size >= 2 else 0.0)
-            jitter_pp_by_eye.append(float(np.ptp(times))
-                                    if times.size >= 2 else 0.0)
-        widths = [max(0.0, 1.0 - pp) for pp in jitter_pp_by_eye]
-        worst_eye = int(np.argmin(heights))
-        worst_jitter_rms = max(jitter_rms_by_eye)
-        worst_jitter_pp = max(jitter_pp_by_eye)
-        return EyeMeasurement(
-            eye_height=float(np.min(heights)),
-            eye_width_ui=min(widths),
-            eye_amplitude=amplitude,
-            level_one=level_one,
-            level_zero=level_zero,
-            jitter_rms=worst_jitter_rms * self.unit_interval,
-            jitter_pp=worst_jitter_pp * self.unit_interval,
-            q_factor=min(q_factors),
-            sampling_phase_ui=(phase + 0.5) / self.samples_per_ui,
-            n_ui=self.n_ui,
-            n_levels=n_levels,
-            worst_eye=worst_eye,
-            eye_heights=tuple(float(h) for h in heights),
-            eye_widths_ui=tuple(widths),
-            eye_jitter_rms_ui=tuple(jitter_rms_by_eye),
-            eye_jitter_pp_ui=tuple(jitter_pp_by_eye),
-            q_factors=tuple(q_factors),
-            levels=tuple(means),
-        )
+        return self._batch.measure_at([phase])[0]
 
-    # -- convenience ----------------------------------------------------------
     @classmethod
     def measure_waveform(cls, wave: Waveform, bit_rate: float,
                          skip_ui: int = 8,
@@ -384,33 +213,17 @@ class EyeDiagram:
         del max_ui  # reserved for future windowed measurement
         return eye.measure()
 
-    @classmethod
-    def _from_folded(cls, traces: np.ndarray, bit_rate: float,
-                     modulation: Optional[Modulation] = None
-                     ) -> "EyeDiagram":
-        """Internal: wrap already-folded ``(n_ui, samples_per_ui)`` traces."""
-        eye = cls.__new__(cls)
-        eye.bit_rate = bit_rate
-        eye.unit_interval = 1.0 / bit_rate
-        eye.samples_per_ui = traces.shape[1]
-        eye.traces = traces
-        eye.n_ui = traces.shape[0]
-        eye.modulation = Nrz() if modulation is None else modulation
-        eye._thresholds = None
-        return eye
-
 
 class EyeDiagramBatch:
     """Every row of a :class:`WaveformBatch` folded at the unit interval.
 
-    The fold and the per-phase vertical-opening search — the dominant
-    cost of scope-style measurement — run vectorized across all
-    scenarios at once; each row's :class:`EyeMeasurement` is then
-    assembled through the same code path as the serial
-    :class:`EyeDiagram`, so batched results match per-waveform
-    measurements exactly.  Multi-level batches estimate decision
-    thresholds per row from that row's own traces, matching what the
-    serial path computes for the same waveform.
+    The fold, the per-phase vertical-opening search and the measurement
+    itself run vectorized across all scenarios at once:
+    :meth:`measure_at` gathers each row's sampling-phase column, splits
+    it into level clusters and reduces every cluster and crossing
+    distribution in one pass.  :class:`EyeDiagram` is a one-row call
+    into this class.  Multi-level batches estimate decision thresholds
+    per row from that row's own traces.
 
     The batch sample rate must be an integer multiple of ``bit_rate``
     (the encoder guarantees this; batches are never resampled).
@@ -443,7 +256,7 @@ class EyeDiagramBatch:
         n_ui = data.shape[1] // self.samples_per_ui
         if n_ui < 8:
             raise ValueError(
-                f"batch too short for an eye: {n_ui} UI after skipping"
+                f"too short for an eye: {n_ui} UI after skipping"
             )
         self.traces = data[:, : n_ui * self.samples_per_ui].reshape(
             batch.n_scenarios, n_ui, self.samples_per_ui
@@ -451,15 +264,16 @@ class EyeDiagramBatch:
         self.n_ui = n_ui
         self.n_scenarios = batch.n_scenarios
         self._thresholds: Optional[np.ndarray] = None
-        self._crossings: Dict[int, List[np.ndarray]] = {}
+        self._crossings: Dict[int, Tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]] = {}
         self._jitter: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
     def decision_thresholds(self) -> np.ndarray:
         """Per-row decision thresholds, shape ``(n_scenarios, L - 1)``.
 
-        Exactly zero for two-level signaling; estimated per row from
-        that row's folded traces for ``L > 2`` (identical to what the
-        serial :class:`EyeDiagram` computes for the same waveform)."""
+        Exactly zero for two-level signaling (differential NRZ slices
+        at zero by construction); estimated per row from that row's
+        folded traces for ``L > 2`` (see :func:`_estimate_thresholds`).
+        """
         if self._thresholds is None:
             if self.modulation.n_levels == 2:
                 self._thresholds = np.zeros((self.n_scenarios, 1))
@@ -472,7 +286,12 @@ class EyeDiagramBatch:
 
     def eye_heights(self) -> np.ndarray:
         """Worst-sub-eye vertical opening per (scenario, phase), shape
-        ``(n_scenarios, samples_per_ui)`` — one vectorized pass."""
+        ``(n_scenarios, samples_per_ui)`` — one vectorized pass.
+
+        Sub-eye ``e`` opens between level clusters ``e`` and ``e + 1``:
+        ``min(upper cluster) - max(lower cluster)`` — negative when that
+        sub-eye is closed, ``-inf`` when a cluster is empty.
+        """
         if self.modulation.n_levels == 2:
             # Binary fast path: threshold exactly 0, single sub-eye.
             ones_mask = self.traces > 0
@@ -503,7 +322,7 @@ class EyeDiagramBatch:
         """Per-scenario sampling phase maximizing the vertical opening."""
         return np.argmax(self.eye_heights(), axis=1)
 
-    # -- horizontal measurements (vectorized extraction) -------------------
+    # -- horizontal measurements (segment reductions over all rows) --------
     def _eye_index(self, eye: Optional[int]) -> int:
         if eye is None:
             return self.modulation.center_threshold_index
@@ -513,21 +332,28 @@ class EyeDiagramBatch:
             )
         return int(eye)
 
-    def crossing_times_ui(self, eye: Optional[int] = None
-                          ) -> List[np.ndarray]:
-        """Per-scenario threshold-crossing positions in UI modulo 1.
+    def _crossing_segments(self, e: int
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Centered crossings of sub-eye ``e``: ``(rows, times, counts)``.
 
-        The extraction — sign changes, bracketing-sample interpolation —
-        runs as one vectorized pass over the whole batch, cached across
-        the horizontal-metric accessors; only the cheap per-row circular
-        centering loops in Python.  Row ``i`` equals
-        ``EyeDiagram.crossing_times_ui(eye)`` of that scenario exactly.
-        ``eye`` selects the sub-eye threshold (middle eye by default).
+        ``times`` holds every row's crossing positions back to back in
+        row order (``rows`` names the row of each, ``counts`` the
+        segment lengths).  Sign changes and bracketing-sample
+        interpolation run as one pass over the batch.
+
+        Crossing positions live on the UI circle: a cluster straddling
+        the 0/1 boundary (e.g. crossings at 0.02 and 0.98 UI) wraps, and
+        any linear statistic of the raw values — in particular the
+        median, whose value lands mid-range for a balanced straddling
+        cluster — fails to detect it, reporting ~1 UI of peak-to-peak
+        jitter for a clean eye.  The circular mean always points at the
+        cluster, so each row's wrap seam is shifted half a UI away from
+        its own circular mean.
         """
-        e = self._eye_index(eye)
         if e in self._crossings:
             return self._crossings[e]
-        flat = self.traces.reshape(self.n_scenarios, -1)
+        n = self.n_scenarios
+        flat = self.traces.reshape(n, -1)
         thresholds = self.decision_thresholds()[:, e]
         if np.any(thresholds != 0.0):
             flat = flat - thresholds[:, None]
@@ -537,31 +363,48 @@ class EyeDiagramBatch:
         v0 = flat[rows, cols]
         v1 = flat[rows, cols + 1]
         frac = v0 / (v0 - v1)
-        times = (cols + frac) / self.samples_per_ui
-        crossings = np.mod(times, 1.0)
-        counts = np.bincount(rows, minlength=self.n_scenarios)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        out: List[np.ndarray] = []
-        for i in range(self.n_scenarios):
-            chunk = crossings[offsets[i]:offsets[i + 1]]
-            out.append(_center_crossings_ui(chunk) if chunk.size
-                       else np.array([]))
-        self._crossings[e] = out
-        return out
+        crossings = np.mod((cols + frac) / self.samples_per_ui, 1.0)
+        counts = np.bincount(rows, minlength=n)
+        size = np.maximum(counts, 1)
+        angles = 2.0 * np.pi * crossings
+        center = np.arctan2(np.bincount(rows, np.sin(angles), n) / size,
+                            np.bincount(rows, np.cos(angles), n) / size)
+        center = np.mod(center / (2.0 * np.pi), 1.0)[rows]
+        times = np.mod(crossings - center + 0.5, 1.0) - 0.5 + center
+        self._crossings[e] = (rows, times, counts)
+        return self._crossings[e]
+
+    def crossing_times_ui(self, eye: Optional[int] = None
+                          ) -> List[np.ndarray]:
+        """Per-scenario threshold-crossing positions in UI modulo 1.
+
+        Linear interpolation between the bracketing samples, each row's
+        cluster centered on its circular mean; the distribution's spread
+        is the crossing jitter.  ``eye`` selects the sub-eye threshold;
+        the default is the middle eye (the zero crossing for NRZ — the
+        edge the bang-bang CDR locks to).
+        """
+        _, times, counts = self._crossing_segments(self._eye_index(eye))
+        return np.split(times, np.cumsum(counts)[:-1])
 
     def _horizontal_metrics(self, eye: Optional[int] = None
                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (RMS, peak-to-peak) crossing jitter from one cached
-        extraction pass."""
+        """Per-row (RMS, peak-to-peak) crossing jitter, reduced per row
+        segment of the cached crossings (zero below two crossings)."""
         e = self._eye_index(eye)
         if e in self._jitter:
             return self._jitter[e]
-        rms = np.zeros(self.n_scenarios)
-        pp = np.zeros(self.n_scenarios)
-        for i, times in enumerate(self.crossing_times_ui(e)):
-            if times.size >= 2:
-                rms[i] = float(np.std(times))
-                pp[i] = float(np.ptp(times))
+        n = self.n_scenarios
+        rows, times, counts = self._crossing_segments(e)
+        size = np.maximum(counts, 1)
+        mean = np.bincount(rows, times, n) / size
+        rms = np.sqrt(np.bincount(rows, (times - mean[rows]) ** 2, n) / size)
+        pp = np.zeros(n)
+        present = counts > 0
+        if np.any(present):
+            starts = (np.cumsum(counts) - counts)[present]
+            pp[present] = (np.maximum.reduceat(times, starts)
+                           - np.minimum.reduceat(times, starts))
         self._jitter[e] = (rms, pp)
         return rms, pp
 
@@ -577,15 +420,92 @@ class EyeDiagramBatch:
         """Per-row horizontal opening: 1 UI minus the p-p jitter."""
         return np.maximum(0.0, 1.0 - self._horizontal_metrics(eye)[1])
 
+    # -- composite measurement ------------------------------------------------
+    def measure_at(self, phases: Sequence[int]) -> List[EyeMeasurement]:
+        """One :class:`EyeMeasurement` per row, row ``i`` sampled at
+        phase index ``phases[i]``.
+
+        Each row's sampling column is split into level clusters by that
+        row's thresholds; cluster extremes give the per-sub-eye heights,
+        cluster means and sigmas the levels and Q.  A row with an empty
+        level cluster reports a closed eye (``eye_height = -inf``).
+        """
+        phases = np.asarray(phases, dtype=np.intp)
+        if phases.shape != (self.n_scenarios,):
+            raise ValueError(
+                f"need one phase per row ({self.n_scenarios}), got shape "
+                f"{phases.shape}"
+            )
+        n, n_levels = self.n_scenarios, self.modulation.n_levels
+        column = self.traces[np.arange(n), :, phases]
+        above = column[:, :, None] > self.decision_thresholds()[:, None, :]
+        # Levels are ordered by value, so sub-eye e opens between the
+        # lowest sample above threshold e and the highest one below it.
+        heights = (
+            np.min(np.where(above, column[:, :, None], np.inf), axis=1)
+            - np.max(np.where(above, -np.inf, column[:, :, None]), axis=1))
+        # Per-(row, level) cluster moments as one segment reduction.
+        label = (np.arange(n)[:, None] * n_levels
+                 + above.sum(axis=2)).ravel()
+        counts = np.bincount(label, minlength=n * n_levels)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means = np.bincount(label, column.ravel(), n * n_levels) / counts
+            deviation = (column.ravel() - means[label]) ** 2
+            sigmas = np.sqrt(np.bincount(label, deviation, n * n_levels)
+                             / counts)
+            counts, means, sigmas = (a.reshape(n, n_levels)
+                                     for a in (counts, means, sigmas))
+            spread = sigmas[:, 1:] + sigmas[:, :-1]
+            q_factors = np.where(spread > 0,
+                                 (means[:, 1:] - means[:, :-1]) / spread,
+                                 np.inf)
+        eyes = range(self.modulation.n_eyes)
+        rms = np.stack([self.jitter_rms_ui(e) for e in eyes], axis=1)
+        pp = np.stack([self.jitter_pp_ui(e) for e in eyes], axis=1)
+        widths = np.maximum(0.0, 1.0 - pp)
+        degenerate = np.any(counts == 0, axis=1).tolist()
+        heights, widths, rms, pp, q_factors, means = (
+            a.tolist() for a in (heights, widths, rms, pp, q_factors, means))
+        out: List[EyeMeasurement] = []
+        for row, phase in enumerate(phases.tolist()):
+            if degenerate[row]:
+                # Some level never observed at this phase: closed eye.
+                level = float(self.traces[row].mean())
+                out.append(EyeMeasurement(
+                    eye_height=-float("inf"), eye_width_ui=0.0,
+                    eye_amplitude=0.0, level_one=level, level_zero=level,
+                    jitter_rms=0.0, jitter_pp=0.0, q_factor=0.0,
+                    sampling_phase_ui=phase / self.samples_per_ui,
+                    n_ui=self.n_ui, n_levels=n_levels,
+                ))
+                continue
+            row_heights, row_means = heights[row], means[row]
+            out.append(EyeMeasurement(
+                eye_height=min(row_heights),
+                eye_width_ui=min(widths[row]),
+                eye_amplitude=row_means[-1] - row_means[0],
+                level_one=row_means[-1],
+                level_zero=row_means[0],
+                jitter_rms=max(rms[row]) * self.unit_interval,
+                jitter_pp=max(pp[row]) * self.unit_interval,
+                q_factor=min(q_factors[row]),
+                sampling_phase_ui=(phase + 0.5) / self.samples_per_ui,
+                n_ui=self.n_ui,
+                n_levels=n_levels,
+                worst_eye=row_heights.index(min(row_heights)),
+                eye_heights=tuple(row_heights),
+                eye_widths_ui=tuple(widths[row]),
+                eye_jitter_rms_ui=tuple(rms[row]),
+                eye_jitter_pp_ui=tuple(pp[row]),
+                q_factors=tuple(q_factors[row]),
+                levels=tuple(row_means),
+            ))
+        return out
+
     def measure_all(self) -> List[EyeMeasurement]:
-        """One :class:`EyeMeasurement` per scenario."""
-        phases = self.best_phase_indices()
-        return [
-            EyeDiagram._from_folded(self.traces[row], self.bit_rate,
-                                    self.modulation)
-            .measure_at(int(phases[row]))
-            for row in range(self.n_scenarios)
-        ]
+        """One :class:`EyeMeasurement` per scenario, each at its
+        optimum sampling phase."""
+        return self.measure_at(self.best_phase_indices())
 
 
 def measure_eye_batch(batch: WaveformBatch, bit_rate: float,

@@ -35,6 +35,8 @@ from ..signals.waveform import Waveform
 __all__ = ["ChannelParameters", "FR4_DEFAULT", "BackplaneChannel"]
 
 _SPEED_OF_LIGHT = 2.998e8
+#: Shortest impulse-synthesis grid (samples).
+_MIN_GRID = 1 << 13
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,6 +165,20 @@ class BackplaneChannel(Block):
         A :class:`~repro.signals.batch.WaveformBatch` is convolved along
         its sample axis in one pass, each row idling at its own first
         value.
+
+        Only the first ``n`` taps of the impulse are convolved: output
+        sample ``k < n`` of a causal convolution depends on taps
+        ``0..k`` alone, so the longer taps never reach the kept output
+        and dropping them is exact.  The idle level is different: the
+        link has settled through the *whole* impulse before time zero,
+        so ``dc_gain`` is the sum of the full synthesized impulse.
+
+        Records short enough for the synthesis grid to sit at its
+        ``2^13`` floor (``n <= 2^11``) keep the whole, then at most
+        8192-tap, impulse.  That keeps their results bit-identical to
+        the full convolution: the statistical eye's ~900-sample pulse
+        responses feed a threshold-plateau pick that can flip on an
+        ulp-level change of the pulse.
         """
         if self.length_m == 0:
             return wave
@@ -176,7 +192,8 @@ class BackplaneChannel(Block):
         h_t = self._impulse_response(wave.dt, min_length=n)
         from scipy.signal import fftconvolve
 
-        h = h_t if data.ndim == 1 else h_t[np.newaxis, :]
+        taps = h_t if len(h_t) == _MIN_GRID else h_t[:n]
+        h = taps if data.ndim == 1 else taps[np.newaxis, :]
         filtered = fftconvolve(deviation, h, axes=-1)[..., :n]
         dc_gain = float(np.sum(h_t))
         out = filtered + x0 * dc_gain
@@ -189,8 +206,8 @@ class BackplaneChannel(Block):
         (and >= 2^13 samples) so the cepstral construction resolves the
         loss curve and the tail decays inside the grid.
         """
-        n_fft = 1 << max(13, int(math.ceil(math.log2(max(min_length, 2))))
-                         + 2)
+        n_fft = max(_MIN_GRID,
+                    1 << (int(math.ceil(math.log2(max(min_length, 2)))) + 2))
         freq = np.fft.rfftfreq(n_fft, d=dt)
         h = self._causal_response(freq, n_fft)
         return np.fft.irfft(h, n=n_fft)

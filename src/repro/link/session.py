@@ -26,6 +26,7 @@ through the same batched kernels:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,8 +101,14 @@ class ChannelConfig:
 
     length_m: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.length_m) and self.length_m >= 0.0):
+            raise ValueError(
+                f"channel length_m must be finite and >= 0, got {self.length_m}"
+            )
+
     def build(self) -> Optional[BackplaneChannel]:
-        if self.length_m <= 0.0:
+        if self.length_m == 0.0:
             return None
         return BackplaneChannel(self.length_m)
 

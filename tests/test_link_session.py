@@ -353,6 +353,21 @@ def test_session_sweep_structural_rebuild_changes_the_chain():
     assert np.all(heights[0] > heights[1])
 
 
+@pytest.mark.parametrize("length_m", [-1.0, float("nan"), float("inf")])
+def test_channel_config_rejects_negative_or_non_finite_length(length_m):
+    """A bad length used to build no channel at all and run the link
+    back to back; it must fail at construction instead."""
+    with pytest.raises(ValueError,
+                       match=r"channel length_m must be finite and >= 0, "
+                             r"got (-1\.0|nan|inf)$"):
+        ChannelConfig(length_m)
+
+
+def test_channel_config_zero_length_means_no_channel():
+    assert ChannelConfig(0.0).build() is None
+    assert isinstance(ChannelConfig(0.3).build(), BackplaneChannel)
+
+
 def test_session_sweep_rejects_unknown_structural_axis():
     session = LinkSession.from_configs()
     grid = ScenarioGrid([SweepAxis("bogus_knob", (1, 2), structural=True),
