@@ -156,6 +156,14 @@ class DfeConfig:
         )
 
 
+def _require_finite(batch: WaveformBatch) -> None:
+    """Reject NaN/inf input before any stage runs (it would surface as
+    a ``-inf`` eye height with the CDR still reporting lock)."""
+    finite = np.isfinite(batch.data).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"input row {int(np.argmin(finite))} has non-finite samples")
+
+
 def _run_stages(stages: Sequence[Stage],
                 batch: WaveformBatch) -> WaveformBatch:
     """The one stage-chain loop every session path dispatches through."""
@@ -496,7 +504,9 @@ class LinkSession:
                 f"run() takes a Waveform, got {type(wave).__name__}; "
                 "use run_batch() for batches"
             )
-        result = self._run(_lift(wave)[0])
+        batch = _lift(wave)[0]
+        _require_finite(batch)
+        result = self._run(batch)
         if result.n_scenarios != 1:
             raise ValueError(
                 f"a stage fanned the waveform out to "
@@ -530,7 +540,8 @@ class LinkSession:
         footprint and are rarely wanted.  See
         ``benchmarks/bench_compiled_kernels.py`` for the measured
         crossover: chunking costs a few percent below ~1k scenarios
-        and is the only way to complete ≥100k.
+        and is the only way to complete ≥100k.  Here and in :meth:`run`
+        a NaN/inf input sample raises ``ValueError`` naming its row.
         """
         if isinstance(batch, Waveform):
             batch = _lift(batch)[0]
@@ -538,6 +549,7 @@ class LinkSession:
             batch = WaveformBatch.stack(list(batch))
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        _require_finite(batch)
         if chunk_rows is None or chunk_rows >= batch.n_scenarios:
             return self._finish(self._run(batch), keep_output)
         parts = [

@@ -28,6 +28,28 @@ from .waveform import Waveform, sample_uniform
 __all__ = ["WaveformBatch"]
 
 
+def _check_stackable(waves: Sequence[Waveform]) -> None:
+    """Vectorized stack check; the per-wave check re-runs from the first
+    offender so errors match a row-by-row loop (``np.isclose`` keeps the
+    wave first).  Own function: temporaries die before the stack."""
+    first = waves[0]
+    n = len(waves)
+    lengths = np.fromiter(map(len, waves), np.intp, n)
+    rates = np.fromiter((wave.sample_rate for wave in waves), float, n)
+    t0s = np.fromiter((wave.t0 for wave in waves), float, n)
+    bad = ((lengths != lengths[0])
+           | ~np.isclose(rates, first.sample_rate)
+           | ~np.isclose(t0s, first.t0))
+    bad[0] = False  # the reference wave is never compared to itself
+    if bad.any():
+        for wave in waves[int(np.argmax(bad)):]:
+            first._check_compatible(wave)
+            if not np.isclose(wave.t0, first.t0):
+                raise ValueError(
+                    f"waveform start times differ: {first.t0} vs {wave.t0}"
+                )
+
+
 @dataclasses.dataclass(frozen=True)
 class WaveformBatch:
     """A stack of uniformly sampled signals sharing one timebase.
@@ -37,7 +59,8 @@ class WaveformBatch:
     data:
         Sample values, shape ``(n_scenarios, n_samples)``.
     sample_rate:
-        Samples per second, shared by every row.  Must be positive.
+        Samples per second, shared by every row.  Must be positive
+        and finite.
     t0:
         Time of the first sample in seconds.  Defaults to zero.
     """
@@ -47,8 +70,9 @@ class WaveformBatch:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}")
         array = np.asarray(self.data, dtype=float)
         if array.ndim != 2:
             raise ValueError(
@@ -62,17 +86,13 @@ class WaveformBatch:
     def stack(cls, waves: Sequence[Waveform]) -> "WaveformBatch":
         """Stack per-scenario waveforms into one batch.
 
-        All waveforms must share length, sample rate and start time.
+        All waveforms must share length, sample rate and start time
+        (the first that does not raises, checked in that order).
         """
         if not waves:
             raise ValueError("cannot stack an empty waveform sequence")
+        _check_stackable(waves)
         first = waves[0]
-        for wave in waves[1:]:
-            first._check_compatible(wave)
-            if not np.isclose(wave.t0, first.t0):
-                raise ValueError(
-                    f"waveform start times differ: {first.t0} vs {wave.t0}"
-                )
         return cls(np.stack([wave.data for wave in waves]),
                    first.sample_rate, t0=first.t0)
 

@@ -72,7 +72,7 @@ class Waveform:
     data:
         Sample values in volts (or amps for current waveforms).
     sample_rate:
-        Samples per second.  Must be positive.
+        Samples per second.  Must be positive and finite.
     t0:
         Time of the first sample in seconds.  Defaults to zero.
     """
@@ -82,8 +82,9 @@ class Waveform:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}")
         array = np.asarray(self.data, dtype=float)
         if array.ndim != 1:
             raise ValueError(f"waveform data must be 1-D, got shape {array.shape}")
@@ -216,30 +217,15 @@ class Waveform:
         """
         if len(self.data) == 0:
             return self
-        shift = delay_s * self.sample_rate
-        n = int(np.floor(shift))
-        frac = shift - n
-        padded = np.empty(len(self.data))
-        if n >= len(self.data) or -n >= len(self.data):
-            fill = self.data[0] if n > 0 else self.data[-1]
-            return self.with_data(np.full(len(self.data), fill))
-        if n >= 0:
-            padded[:n] = self.data[0]
-            padded[n:] = self.data[: len(self.data) - n]
-        else:
-            padded[:n] = self.data[-n:]
-            padded[n:] = self.data[-1]
-        if frac > 0:
-            shifted_one_more = np.empty_like(padded)
-            shifted_one_more[0] = padded[0]
-            shifted_one_more[1:] = padded[:-1]
-            padded = (1.0 - frac) * padded + frac * shifted_one_more
-        return self.with_data(padded)
+        from .batch import WaveformBatch  # batch.py imports this module
+        return WaveformBatch(self.data[np.newaxis, :], self.sample_rate,
+                             t0=self.t0).delayed(delay_s)[0]
 
     def resampled(self, sample_rate: float) -> "Waveform":
         """Linearly resample the waveform onto a new uniform grid."""
-        if sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+        if not 0 < sample_rate < np.inf:
+            raise ValueError(
+                f"sample_rate must be positive and finite, got {sample_rate}")
         if np.isclose(sample_rate, self.sample_rate):
             return self
         new_n = max(1, int(round(self.duration * sample_rate)))

@@ -110,15 +110,8 @@ def describe_grid(grid) -> List[Dict[str, Any]]:
     treatment axis by axis."""
     if hasattr(grid, "describe"):
         return grid.describe()
-    return [
-        {
-            "name": axis.name,
-            "structural": bool(axis.structural),
-            "n": len(axis),
-            "values": _sha(_clean_repr(axis.values))[:16],
-        }
-        for axis in grid.axes
-    ]
+    from .grid import SweepAxis
+    return [SweepAxis.describe(axis) for axis in grid.axes]
 
 
 class CheckpointJournal:

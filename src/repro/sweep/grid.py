@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Dict, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["SweepAxis", "ScenarioGrid", "modulation_axis"]
 
@@ -118,10 +121,7 @@ class ScenarioGrid:
     @property
     def n_scenarios(self) -> int:
         """Total number of scenario points."""
-        total = 1
-        for axis in self.axes:
-            total *= len(axis)
-        return total
+        return math.prod(self.shape)
 
     @property
     def names(self) -> List[str]:
@@ -139,14 +139,11 @@ class ScenarioGrid:
     # -- iteration ---------------------------------------------------------
     def points(self) -> Iterator[Dict]:
         """Every scenario's parameter dict, in canonical order."""
-        for combo in itertools.product(*(axis.values for axis in self.axes)):
-            yield dict(zip(self.names, combo))
+        return self._subspace_points(self.axes)
 
     @staticmethod
     def _subspace_points(axes: Sequence[SweepAxis]) -> Iterator[Dict]:
-        if not axes:
-            yield {}
-            return
+        # The product of no axes is one empty combination.
         names = [axis.name for axis in axes]
         for combo in itertools.product(*(axis.values for axis in axes)):
             yield dict(zip(names, combo))
@@ -162,37 +159,28 @@ class ScenarioGrid:
         return self._subspace_points(self.batch_axes())
 
     def batch_points_slice(self, start: int, stop: int) -> List[Dict]:
-        """``list(batch_points())[start:stop]`` computed directly from
-        the axis values by mixed-radix unravelling — ``O(stop - start)``
-        dicts, never the whole enumeration.  The sweep runner
-        materializes each execution unit's rows through this, so
-        supervisor memory holds one chunk's parameter dicts at a time
-        instead of every scenario's for the whole sweep."""
+        """``list(batch_points())[start:stop]`` (negative bounds clamp
+        to 0) computed directly from the axis values by one mixed-radix
+        unravel of the flat indices — ``O(stop - start)`` dicts, never
+        the whole enumeration.  The sweep runner materializes each
+        execution unit's rows through this, so supervisor memory holds
+        one chunk's parameter dicts at a time instead of every
+        scenario's for the whole sweep."""
         axes = self.batch_axes()
         total = self.n_batch_scenarios()
-        start = max(0, min(int(start), total))
-        stop = max(start, min(int(stop), total))
+        flat = np.arange(max(0, min(int(start), total)),
+                         max(0, min(int(stop), total)))
         if not axes:
-            return [{}][start:stop]
-        sizes = [len(axis) for axis in axes]
-        rows: List[Dict] = []
-        for flat in range(start, stop):
-            indices: List[int] = []
-            remainder = flat
-            for size in reversed(sizes):
-                indices.append(remainder % size)
-                remainder //= size
-            indices.reverse()
-            rows.append({axis.name: axis.values[i]
-                         for axis, i in zip(axes, indices)})
-        return rows
+            return [{}] * len(flat)
+        indices = np.unravel_index(flat, [len(axis) for axis in axes])
+        columns = [map(axis.values.__getitem__, index.tolist())
+                   for axis, index in zip(axes, indices)]
+        names = [axis.name for axis in axes]
+        return [dict(zip(names, combo)) for combo in zip(*columns)]
 
     def n_batch_scenarios(self) -> int:
         """Scenarios per batched pass (product of batchable axis sizes)."""
-        total = 1
-        for axis in self.batch_axes():
-            total *= len(axis)
-        return total
+        return math.prod(len(axis) for axis in self.batch_axes())
 
     # -- indexing ----------------------------------------------------------
     def flat_index(self, params: Dict) -> int:

@@ -276,7 +276,8 @@ class _Unit:
     access, discarded with the unit's chunk), so the planned unit list
     costs ``O(n_units)`` — not ``O(n_scenarios)`` parameter dicts held
     for the whole sweep, which is what lets a ``keep_results=False``
-    run stay memory-flat in scenario count.  ``attempts`` counts failed
+    run stay memory-flat in scenario count (so it is not cached here:
+    outcomes keep their unit alive).  ``attempts`` counts failed
     tries; ``suspect`` marks units that crashed or timed out and must
     therefore run isolated (sole in-flight unit) so the next failure is
     attributable.
@@ -349,20 +350,33 @@ def _has_nonfinite(value) -> bool:
     """Best-effort non-finite detection over the value shapes sweeps
     produce: numbers, ndarrays, waveforms (``.data``), and
     tuples/lists of those.  Opaque objects are assumed finite."""
-    if value is None:
-        return False
     if isinstance(value, (int, float, complex, np.number)):
         return not bool(np.all(np.isfinite(value)))
-    if isinstance(value, np.ndarray):
-        if not np.issubdtype(value.dtype, np.number):
-            return False
-        return not bool(np.all(np.isfinite(value)))
-    data = getattr(value, "data", None)
-    if isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.number):
-        return not bool(np.all(np.isfinite(data)))
+    array = (value if isinstance(value, np.ndarray)
+             else getattr(value, "data", None))
+    if isinstance(array, np.ndarray):
+        return (np.issubdtype(array.dtype, np.number)
+                and not bool(np.all(np.isfinite(array))))
     if isinstance(value, (tuple, list)):
         return any(_has_nonfinite(item) for item in value)
     return False
+
+
+def _canonical_indices(grid: ScenarioGrid, n_structural: int,
+                       n_batch: int) -> np.ndarray:
+    """``(n_structural, n_batch)`` canonical grid indices (own function:
+    the per-axis temporaries die before the caller fills its lists)."""
+    position: Dict[str, np.ndarray] = {}
+    groups = ((grid.structural_axes(), n_structural, (-1, 1)),
+              (grid.batch_axes(), n_batch, (1, -1)))
+    for axes, count, shape in groups:
+        if axes:
+            indices = np.unravel_index(np.arange(count),
+                                       [len(axis) for axis in axes])
+            for axis, index in zip(axes, indices):
+                position[axis.name] = index.reshape(shape)
+    return np.ravel_multi_index([position[axis.name] for axis in grid.axes],
+                                grid.shape)
 
 
 def _picklable(obj) -> bool:
@@ -738,8 +752,10 @@ class SweepRunner:
     def _finish_unit(self, unit: _Unit, values: List[Any],
                      failures: List[SweepFailure],
                      sink: List[_UnitOutcome],
-                     journal: Optional[CheckpointJournal]) -> None:
-        partials = (self._reduce_unit(values, unit.full_params)
+                     journal: Optional[CheckpointJournal],
+                     full_params: Optional[List[Dict]] = None) -> None:
+        """``full_params`` is the attempt's planned rows, if at hand."""
+        partials = (self._reduce_unit(values, full_params or unit.full_params)
                     if self.reducers is not None else None)
         # keep_results=False is the whole point of streaming: the rows
         # are dropped here, right after folding into the partials, so
@@ -776,18 +792,20 @@ class SweepRunner:
         failure = SweepFailure(params=dict(unit.full_params[0]), kind=kind,
                                error=error, traceback=tb,
                                attempts=unit.attempts)
-        self._finish_unit(unit, [None], [failure], sink, journal)
+        self._finish_unit(unit, [None], [failure], sink, journal,
+                          [failure.params])
         return []
 
     def _handle_values(self, unit: _Unit, values: List[Any],
                        sink: List[_UnitOutcome],
-                       journal: Optional[CheckpointJournal]
+                       journal: Optional[CheckpointJournal],
+                       full_params: Optional[List[Dict]] = None
                        ) -> List[_Unit]:
         """Resolve a successfully executed unit (NaN guard included)."""
         bad = ([j for j, value in enumerate(values) if _has_nonfinite(value)]
                if self.nan_guard else [])
         if not bad:
-            self._finish_unit(unit, values, [], sink, journal)
+            self._finish_unit(unit, values, [], sink, journal, full_params)
             return []
         if self.on_error == "raise":
             raise ValueError(
@@ -799,15 +817,16 @@ class SweepRunner:
         unit.attempts += 1
         if unit.attempts < self.max_attempts:
             return [unit]
+        full_params = full_params or unit.full_params
         kept = list(values)
         failures = []
         for j in bad:
             failures.append(SweepFailure(
-                params=dict(unit.full_params[j]), kind="non-finite",
+                params=dict(full_params[j]), kind="non-finite",
                 error=f"non-finite measurement {values[j]!r}",
                 attempts=unit.attempts))
             kept[j] = None
-        self._finish_unit(unit, kept, failures, sink, journal)
+        self._finish_unit(unit, kept, failures, sink, journal, full_params)
         return []
 
     # -- in-process execution ----------------------------------------------
@@ -818,6 +837,8 @@ class SweepRunner:
         processors: Dict[int, Any] = {}
         queue = collections.deque(units)
         while queue:
+            # The last attempt's rows must not add to this one's peak.
+            full_params = values = None
             unit = queue.popleft()
             self._sleep_backoff(unit)
             try:
@@ -828,10 +849,11 @@ class SweepRunner:
                     processors[unit.si] = (
                         self.build(unit.structural_params)
                         if self.build is not None else None)
+                # Planned once per attempt: measured and reduced alike.
+                full_params = unit.full_params
                 values = _faults.on_unit_values(
                     unit.key,
-                    self._measure_chunk(processors[unit.si],
-                                        unit.full_params))
+                    self._measure_chunk(processors[unit.si], full_params))
             except _faults.SweepAbort:
                 raise
             except Exception as error:
@@ -842,7 +864,7 @@ class SweepRunner:
                     _traceback.format_exc(), outcomes, journal))
                 continue
             queue.extend(self._handle_values(unit, values, outcomes,
-                                             journal))
+                                             journal, full_params))
         return outcomes
 
     # -- serial reference --------------------------------------------------
@@ -900,36 +922,14 @@ class SweepRunner:
         enumerations are row-major over their axes), so axes with
         repeated values still map every scenario to its own slot.
         """
-        grid = self.grid
-        structural_sizes = [len(axis) for axis in grid.structural_axes()]
-        batch_sizes = [len(axis) for axis in grid.batch_axes()]
-        structural_names = {axis.name for axis in grid.structural_axes()}
-
-        def unravel(flat: int, sizes: List[int]) -> Dict[int, int]:
-            indices: List[int] = []
-            for size in reversed(sizes):
-                indices.append(flat % size)
-                flat //= size
-            return list(reversed(indices))
-
-        n = grid.n_scenarios
+        batch_points = list(self.grid.batch_points())
+        n = self.grid.n_scenarios
         params: List[Optional[Dict]] = [None] * n
         results: List[Any] = [None] * n
-        batch_points = list(grid.batch_points())
-        for si, (sp, values) in enumerate(zip(structural_points, per_point)):
-            s_indices = iter(unravel(si, structural_sizes))
-            s_by_name = {axis.name: next(s_indices)
-                         for axis in grid.structural_axes()}
-            for bi, (bp, value) in enumerate(zip(batch_points, values)):
-                b_indices = iter(unravel(bi, batch_sizes))
-                b_by_name = {axis.name: next(b_indices)
-                             for axis in grid.batch_axes()}
-                index = 0
-                for axis in grid.axes:
-                    axis_index = (s_by_name[axis.name]
-                                  if axis.name in structural_names
-                                  else b_by_name[axis.name])
-                    index = index * len(axis) + axis_index
+        table = _canonical_indices(self.grid, len(structural_points),
+                                   len(batch_points))
+        for sp, values, row in zip(structural_points, per_point, table):
+            for bp, value, index in zip(batch_points, values, row):
                 params[index] = {**sp, **bp}
                 results[index] = value
         return SweepResult(grid=self.grid, params=params, results=results,

@@ -66,6 +66,97 @@ def test_stack_requires_compatible_waveforms():
         WaveformBatch.stack([a, Waveform(np.zeros(8), 2 * FS)])
 
 
+def _unchecked(wave, **fields):
+    """``wave`` with fields set past the constructor's validation (a NaN
+    sample rate no longer constructs), to reach stack's own check."""
+    for name, value in fields.items():
+        object.__setattr__(wave, name, value)
+    return wave
+
+
+def _stack_error(waves):
+    with pytest.raises(ValueError) as info:
+        WaveformBatch.stack(waves)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("where", [2, 1000, 2047])
+def test_stack_names_the_first_offender(where):
+    waves = [Waveform(np.zeros(8), FS, t0=1e-9) for _ in range(2048)]
+    good = list(waves)
+    waves[where] = Waveform(np.zeros(9), FS, t0=1e-9)
+    assert _stack_error(waves) == "waveform lengths differ: 8 vs 9"
+    # A later offender of any kind never pre-empts the first one.
+    if where < 2047:
+        waves[2047] = Waveform(np.zeros(7), FS, t0=1e-9)
+        assert _stack_error(waves) == "waveform lengths differ: 8 vs 9"
+        waves = list(good)
+        waves[where] = Waveform(np.zeros(8), 2 * FS, t0=1e-9)
+        waves[2047] = Waveform(np.zeros(7), FS, t0=1e-9)
+        assert _stack_error(waves) == (
+            f"waveform sample rates differ: {FS} vs {2 * FS}")
+    waves = list(good)
+    # np.isclose's default atol (1e-8) applies to start times too.
+    waves[where] = Waveform(np.zeros(8), FS, t0=5e-9)
+    assert WaveformBatch.stack(waves).t0 == 1e-9
+    waves[where] = Waveform(np.zeros(8), FS, t0=5e-8)
+    assert _stack_error(waves) == (
+        "waveform start times differ: 1e-09 vs 5e-08")
+    waves[where] = Waveform(np.zeros(8), FS, t0=float("nan"))
+    assert _stack_error(waves) == (
+        "waveform start times differ: 1e-09 vs nan")
+    waves[where] = _unchecked(Waveform(np.zeros(8), FS, t0=1e-9),
+                              sample_rate=float("nan"))
+    assert _stack_error(waves) == (
+        f"waveform sample rates differ: {FS} vs nan")
+    # Within one wave: length before rate before start time.
+    waves[where] = Waveform(np.zeros(9), 2 * FS, t0=5e-8)
+    assert _stack_error(waves) == "waveform lengths differ: 8 vs 9"
+    waves[where] = Waveform(np.zeros(8), 2 * FS, t0=5e-8)
+    assert _stack_error(waves) == (
+        f"waveform sample rates differ: {FS} vs {2 * FS}")
+
+
+def test_stack_compares_against_the_first_wave():
+    # isclose's tolerance is relative to the first wave's rate: a rate
+    # within 1e-5 of it stacks, a NaN reference flags the next wave.
+    first = Waveform(np.zeros(8), FS)
+    near = Waveform(np.zeros(8), FS * (1 + 5e-6))
+    assert WaveformBatch.stack([first, near]).sample_rate == FS
+    # Just outside rtol of the first rate, just inside rtol of its own.
+    edge = Waveform(np.zeros(8), FS * (1 + 1e-5 + 5e-11))
+    assert _stack_error([first, edge]) == (
+        f"waveform sample rates differ: {FS} vs {edge.sample_rate}")
+    assert WaveformBatch.stack([edge, first]).sample_rate == edge.sample_rate
+    nan_first = _unchecked(Waveform(np.zeros(8), FS),
+                           sample_rate=float("nan"))
+    assert _stack_error([nan_first, first, near]) == (
+        f"waveform sample rates differ: nan vs {FS}")
+    # A lone wave is never compared with itself, NaN start time or not.
+    lone = Waveform(np.zeros(8), FS, t0=float("nan"))
+    assert np.isnan(WaveformBatch.stack([lone]).t0)
+    assert _stack_error([lone, Waveform(np.zeros(8), FS)]) == (
+        "waveform start times differ: nan vs 0.0")
+
+
+def test_stack_data_matches_np_stack():
+    rng = np.random.default_rng(3)
+    waves = [Waveform(rng.standard_normal(16), FS, t0=1e-9)
+             for _ in range(2048)]
+    batch = WaveformBatch.stack(waves)
+    np.testing.assert_array_equal(
+        batch.data, np.stack([wave.data for wave in waves]))
+    assert (batch.sample_rate, batch.t0) == (FS, 1e-9)
+
+
+@pytest.mark.parametrize("fs", [0.0, -FS, float("nan"), float("inf")])
+def test_batch_sample_rate_must_be_positive_and_finite(fs):
+    with pytest.raises(ValueError) as info:
+        WaveformBatch(np.zeros((2, 8)), fs)
+    assert str(info.value) == (
+        f"sample_rate must be positive and finite, got {fs}")
+
+
 def test_stack_and_rows_round_trip():
     waves = [Waveform(np.arange(5.0) + i, FS) for i in range(4)]
     batch = WaveformBatch.stack(waves)
@@ -155,14 +246,51 @@ def test_arithmetic_shape_checks():
         batch + Waveform(np.ones(9), FS)
 
 
-@given(delay_ps=st.floats(min_value=0.0, max_value=400.0))
+def _frozen_serial_delay(data, sample_rate, delay_s):
+    """The former per-waveform ``Waveform.delayed`` body, frozen as the
+    oracle now that the serial call is a one-row batch call."""
+    shift = delay_s * sample_rate
+    n = int(np.floor(shift))
+    frac = shift - n
+    padded = np.empty(len(data))
+    if n >= len(data) or -n >= len(data):
+        return np.full(len(data), data[0] if n > 0 else data[-1])
+    if n >= 0:
+        padded[:n] = data[0]
+        padded[n:] = data[: len(data) - n]
+    else:
+        padded[:n] = data[-n:]
+        padded[n:] = data[-1]
+    if frac > 0:
+        shifted_one_more = np.empty_like(padded)
+        shifted_one_more[0] = padded[0]
+        shifted_one_more[1:] = padded[:-1]
+        padded = (1.0 - frac) * padded + frac * shifted_one_more
+    return padded
+
+
+@given(delay_ps=st.floats(min_value=-400.0, max_value=400.0))
 @settings(max_examples=25, deadline=None)
 def test_delayed_matches_serial(delay_ps):
     batch = make_batch(4, 48, seed=3)
     delayed = batch.delayed(delay_ps * 1e-12)
     for row, out in zip(batch.rows(), delayed.rows()):
+        expected = _frozen_serial_delay(row.data, FS, delay_ps * 1e-12)
+        np.testing.assert_array_equal(out.data, expected)
         np.testing.assert_array_equal(row.delayed(delay_ps * 1e-12).data,
-                                      out.data)
+                                      expected)
+        assert row.delayed(delay_ps * 1e-12).t0 == row.t0
+
+
+def test_delayed_edge_cases_match_frozen_serial():
+    wave = Waveform(np.arange(6.0), FS, t0=1e-9)
+    for samples in (-7, -6, -2.5, 0, 0.25, 3, 6, 9):
+        out = wave.delayed(samples / FS)
+        assert isinstance(out, Waveform) and out.t0 == wave.t0
+        np.testing.assert_array_equal(
+            out.data, _frozen_serial_delay(wave.data, FS, samples / FS))
+    empty = Waveform(np.zeros(0), FS)
+    assert empty.delayed(1e-12) is empty
 
 
 def test_skip_and_slice_time_match_serial():

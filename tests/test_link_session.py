@@ -123,6 +123,25 @@ def test_run_vs_run_batch_row_exact_across_noise_levels():
         assert_results_equal(session.run(row), batched.row(i))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_and_run_batch_reject_non_finite_samples(bad):
+    session = LinkSession.from_configs(cdr=CdrConfig(bit_rate=BIT_RATE))
+    data = scenario_batch(n_rows=4).data.copy()
+    data[2, 100] = bad
+    data[3, 5] = bad
+    poisoned = WaveformBatch(data, 16 * BIT_RATE)
+    for call in (lambda: session.run_batch(poisoned),
+                 lambda: session.run_batch(poisoned, chunk_rows=1),
+                 lambda: session.run_batch(poisoned.rows())):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "input row 2 has non-finite samples"
+    with pytest.raises(ValueError,
+                       match="^input row 0 has non-finite samples$"):
+        session.run(poisoned[3])
+    assert session.run_batch(poisoned[:2]).lock_yield() == 1.0
+
+
 def test_run_rejects_batches_and_run_batch_accepts_waveform():
     session = LinkSession([], bit_rate=BIT_RATE)
     batch = scenario_batch(2)

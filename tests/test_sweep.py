@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import measure_eye_batch
 from repro.lti import GainBlock, LinearBlock, Pipeline, TanhLimiter, \
@@ -72,6 +74,32 @@ def test_batch_points_slice_matches_enumeration():
     solo = ScenarioGrid([SweepAxis("corner", ("ss",), structural=True)])
     assert solo.batch_points_slice(0, 1) == [{}]
     assert solo.batch_points_slice(1, 2) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batch_points_slice_property(data):
+    n_axes = data.draw(st.integers(1, 3))
+    axes = []
+    for k in range(n_axes):
+        # Repeated and unhashable values: slots are positional.
+        values = data.draw(st.lists(
+            st.sampled_from([0, 1.5, "x", (k, 2), None, [k]]),
+            min_size=1, max_size=5))
+        axes.append(SweepAxis(f"a{k}", tuple(values),
+                              structural=data.draw(st.booleans())))
+    grid = ScenarioGrid(axes)
+    dense = list(grid.batch_points())
+    total = len(dense)
+    start = data.draw(st.integers(-total - 3, total + 3))
+    stop = data.draw(st.integers(-total - 3, total + 3))
+    got = grid.batch_points_slice(start, stop)
+    # Negative bounds clamp to 0 (not Python's count-from-the-end).
+    want = dense[max(0, start):max(0, stop)]
+    assert got == want
+    for row, expected in zip(got, want):
+        assert list(row) == list(expected)          # key order
+        assert all(row[name] is expected[name] for name in expected)
 
 
 def test_flat_index_validation():

@@ -290,6 +290,29 @@ def test_dense_path_is_unchanged_alongside_reducers():
     assert both.aggregates["n"] == len(reference)
 
 
+@pytest.mark.parametrize("keep_results", [True, False])
+def test_inprocess_run_plans_each_unit_once(monkeypatch, tmp_path,
+                                            keep_results):
+    calls = []
+    plan = ScenarioGrid.batch_points_slice
+
+    def counting(self, start, stop):
+        calls.append((start, stop))
+        return plan(self, start, stop)
+
+    monkeypatch.setattr(ScenarioGrid, "batch_points_slice", counting)
+    runner = make_runner(chunk_rows=3, reducers=make_reducers(),
+                         keep_results=keep_results)
+    units = [(start, min(start + 3, len(LEVELS)))
+             for _ in range(2) for start in range(0, len(LEVELS), 3)]
+    result = runner.run()
+    assert sorted(calls) == sorted(units)
+    assert result.aggregates["n"] == len(DENSE_VALUES)
+    calls.clear()
+    runner.run(checkpoint_dir=tmp_path)
+    assert sorted(calls) == sorted(units)
+
+
 def test_run_serial_supports_reducers_and_keep_results():
     dense = make_runner().run()
     serial = make_runner(reducers=make_reducers()).run_serial()

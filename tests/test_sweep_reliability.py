@@ -20,7 +20,7 @@ from repro.sweep import (CheckpointJournal, Count, FaultInjected, FaultRule,
                          SweepAxis, SweepFailure, SweepRunner, Yield,
                          inject_faults)
 from repro.sweep import faults as faults_mod
-from repro.sweep.checkpoint import describe_callable
+from repro.sweep.checkpoint import describe_callable, describe_grid
 from repro.sweep.runner import _has_nonfinite
 
 FS = 160e9
@@ -231,6 +231,35 @@ def test_describe_callable_is_stable_and_content_sensitive():
 
     assert describe_callable(closure_over(1)) \
         != describe_callable(closure_over(2))
+
+
+def test_describe_grid_is_pinned_for_grids_and_grid_ducks():
+    """Fingerprint values are part of the on-disk journal key: changing
+    them orphans every existing checkpoint directory."""
+    grid = ScenarioGrid([
+        SweepAxis("corner", ("ss", "tt"), structural=True),
+        SweepAxis("die", ((0.5, 1.25), (-2e-3, 0.75))),
+    ])
+
+    class DuckAxis:
+        def __init__(self, axis):
+            self.name, self.values = axis.name, axis.values
+            self.structural = axis.structural
+
+        def __len__(self):
+            return len(self.values)
+
+    class DuckGrid:
+        axes = [DuckAxis(axis) for axis in grid.axes]
+
+    expected = [
+        {"name": "corner", "structural": True, "n": 2,
+         "values": "d6ed61bf4be57c28"},
+        {"name": "die", "structural": False, "n": 2,
+         "values": "ef995cc34d78ca0e"},
+    ]
+    assert describe_grid(grid) == expected
+    assert describe_grid(DuckGrid()) == expected
 
 
 def test_describe_callable_tolerates_empty_closure_cell():

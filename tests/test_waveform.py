@@ -23,6 +23,17 @@ def test_rejects_bad_sample_rate():
         make([1.0], fs=0.0)
 
 
+@pytest.mark.parametrize("fs", [0.0, -1e9, float("nan"), float("inf")])
+def test_sample_rate_must_be_positive_and_finite(fs):
+    message = f"sample_rate must be positive and finite, got {fs}"
+    with pytest.raises(ValueError) as info:
+        Waveform(np.zeros(8), fs)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        make(np.zeros(8)).resampled(fs)
+    assert str(info.value) == message
+
+
 def test_rejects_2d_data():
     with pytest.raises(ValueError):
         Waveform(np.zeros((2, 2)), 1e9)
